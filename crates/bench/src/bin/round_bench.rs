@@ -1,17 +1,12 @@
-//! Round-path benchmark: one large Hadar simulation, serial vs parallel vs
-//! incremental.
+//! Round-path benchmark: one large Hadar simulation, serial vs parallel.
 //!
-//! Three configurations run the *same* simulation (identical trace, cluster,
+//! Two configurations run the *same* simulation (identical trace, cluster,
 //! and round cap) and must produce bit-identical job outcomes:
 //!
-//! * **serial** — one candidate-generation worker, cross-round cache off:
-//!   the pre-optimization baseline round path,
+//! * **serial** — one candidate-generation worker,
 //! * **parallel** — auto worker count (`HADAR_ROUND_THREADS` or the machine
-//!   parallelism), cross-round cache off: isolates the intra-round
-//!   candidate-prefetch speedup,
-//! * **incremental** — auto workers plus the cross-round candidate cache:
-//!   the full optimized path, where quiescent rounds reuse the previous
-//!   round's class geometries and decisions.
+//!   parallelism): the default configuration, with the intra-round
+//!   candidate prefetch engaged on queues of 64+ jobs.
 //!
 //! Results are printed and recorded in `BENCH_round.json` (override the
 //! path with `HADAR_BENCH_OUT`); CI runs `--quick` and uploads the file as
@@ -30,40 +25,15 @@ fn scaled_cluster(num_jobs: usize) -> Cluster {
     Cluster::scaled((num_jobs / 32).max(1))
 }
 
-#[derive(Clone, Copy)]
-struct Mode {
-    parallelism: RoundParallelism,
-    cross_round_cache: bool,
-}
-
-const MODES: [Mode; 3] = [
-    // serial
-    Mode {
-        parallelism: RoundParallelism::Fixed(1),
-        cross_round_cache: false,
-    },
-    // parallel
-    Mode {
-        parallelism: RoundParallelism::Auto,
-        cross_round_cache: false,
-    },
-    // incremental
-    Mode {
-        parallelism: RoundParallelism::Auto,
-        cross_round_cache: true,
-    },
-];
-
 struct ModeResult {
     wall_seconds: f64,
     decision_seconds: f64,
     candidates_seconds: f64,
-    reused_rounds: usize,
     rounds: usize,
     outcome: SimOutcome,
 }
 
-fn run_mode(num_jobs: usize, max_rounds: u64, mode: Mode) -> ModeResult {
+fn run_mode(num_jobs: usize, max_rounds: u64, parallelism: RoundParallelism) -> ModeResult {
     let cluster = scaled_cluster(num_jobs);
     let jobs = generate_trace(
         &TraceConfig {
@@ -78,8 +48,7 @@ fn run_mode(num_jobs: usize, max_rounds: u64, mode: Mode) -> ModeResult {
         ..SimConfig::default()
     };
     let scheduler = HadarScheduler::new(HadarConfig {
-        round_parallelism: mode.parallelism,
-        cross_round_cache: mode.cross_round_cache,
+        round_parallelism: parallelism,
         ..HadarConfig::default()
     });
     let t0 = Instant::now();
@@ -92,7 +61,6 @@ fn run_mode(num_jobs: usize, max_rounds: u64, mode: Mode) -> ModeResult {
         wall_seconds,
         decision_seconds: outcome.total_decision_seconds(),
         candidates_seconds,
-        reused_rounds: outcome.reused_rounds(),
         rounds: outcome.rounds.len(),
         outcome,
     }
@@ -118,28 +86,22 @@ struct SizeResult {
     rounds: usize,
     serial: ModeResult,
     parallel: ModeResult,
-    incremental: ModeResult,
 }
 
 fn bench_size(num_jobs: usize, max_rounds: u64) -> SizeResult {
-    let [serial, parallel, incremental] = MODES.map(|mode| run_mode(num_jobs, max_rounds, mode));
-    // The tentpole guarantee: all three paths are exact.
+    let serial = run_mode(num_jobs, max_rounds, RoundParallelism::Fixed(1));
+    let parallel = run_mode(num_jobs, max_rounds, RoundParallelism::Auto);
+    // Both paths must be exact.
     assert_eq!(
         decision_trail(&serial.outcome),
         decision_trail(&parallel.outcome),
         "parallel candidate generation changed decisions at n={num_jobs}"
-    );
-    assert_eq!(
-        decision_trail(&serial.outcome),
-        decision_trail(&incremental.outcome),
-        "cross-round cache changed decisions at n={num_jobs}"
     );
     SizeResult {
         jobs: num_jobs,
         rounds: serial.rounds,
         serial,
         parallel,
-        incremental,
     }
 }
 
@@ -154,27 +116,24 @@ fn main() {
         &[(256, 40), (1024, 40), (2048, 30)]
     };
 
-    println!("Hadar round path: serial vs parallel vs incremental (one simulation per cell)");
+    println!("Hadar round path: serial vs parallel (one simulation per cell)");
     let mut results = Vec::new();
     for &(jobs, max_rounds) in plan {
         let r = bench_size(jobs, max_rounds);
         println!(
-            "  n={:>4} jobs × {} rounds: serial {:>8.2}s | parallel {:>8.2}s ({:.2}×) | incremental {:>8.2}s ({:.2}×, {} reused rounds)",
+            "  n={:>4} jobs × {} rounds: serial {:>8.2}s | parallel {:>8.2}s ({:.2}×)",
             r.jobs,
             r.rounds,
             r.serial.wall_seconds,
             r.parallel.wall_seconds,
             r.serial.wall_seconds / r.parallel.wall_seconds,
-            r.incremental.wall_seconds,
-            r.serial.wall_seconds / r.incremental.wall_seconds,
-            r.incremental.reused_rounds,
         );
         println!(
-            "          decision totals: serial {:>7.2}s (candidates {:>6.2}s) | incremental {:>7.2}s (candidates {:>6.2}s)",
+            "          decision totals: serial {:>7.2}s (candidates {:>6.2}s) | parallel {:>7.2}s (candidates {:>6.2}s)",
             r.serial.decision_seconds,
             r.serial.candidates_seconds,
-            r.incremental.decision_seconds,
-            r.incremental.candidates_seconds,
+            r.parallel.decision_seconds,
+            r.parallel.candidates_seconds,
         );
         results.push(r);
     }
@@ -187,36 +146,47 @@ fn main() {
         format!(
             concat!(
                 "{{\"wall_seconds\": {:.4}, \"decision_seconds\": {:.4}, ",
-                "\"candidates_seconds\": {:.4}, \"reused_rounds\": {}}}"
+                "\"candidates_seconds\": {:.4}}}"
             ),
-            m.wall_seconds, m.decision_seconds, m.candidates_seconds, m.reused_rounds,
+            m.wall_seconds, m.decision_seconds, m.candidates_seconds,
         )
     };
+    let speedups: Vec<f64> = results
+        .iter()
+        .map(|r| r.serial.wall_seconds / r.parallel.wall_seconds)
+        .collect();
     let sizes: Vec<String> = results
         .iter()
-        .map(|r| {
+        .zip(&speedups)
+        .map(|(r, speedup)| {
             format!(
                 concat!(
                     "    {{\"jobs\": {}, \"rounds\": {}, ",
-                    "\"serial\": {}, \"parallel\": {}, \"incremental\": {}, ",
-                    "\"speedup_parallel_vs_serial\": {:.2}, ",
-                    "\"speedup_incremental_vs_serial\": {:.2}}}"
+                    "\"serial\": {}, \"parallel\": {}, ",
+                    "\"speedup_parallel_vs_serial\": {:.2}}}"
                 ),
                 r.jobs,
                 r.rounds,
                 mode_json(&r.serial),
                 mode_json(&r.parallel),
-                mode_json(&r.incremental),
-                r.serial.wall_seconds / r.parallel.wall_seconds,
-                r.serial.wall_seconds / r.incremental.wall_seconds,
+                speedup,
             )
         })
         .collect();
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (lo, hi) = speedups
+        .iter()
+        .fold((f64::INFINITY, 0.0f64), |(lo, hi), &x| {
+            (lo.min(x), hi.max(x))
+        });
+    let note = format!(
+        "with {host_threads} host threads, parallel (the default) runs at {lo:.2}x to {hi:.2}x serial speed"
+    );
     let json = format!(
-        "{{\n  \"bench\": \"round\",\n  \"scheduler\": \"hadar\",\n  \"mode\": \"{}\",\n  \"host_threads\": {},\n  \"timing\": \"wall-clock per full simulation; serial = 1 worker + no cross-round cache, parallel = auto workers, incremental = auto workers + cross-round candidate cache; job outcomes asserted bit-identical across the three\",\n  \"note\": \"mode-vs-mode speedups need host_threads > 1 to show parallel gains; on a 1-thread host all modes share one core and the ratios sit near 1. The cross-PR round-path speedup is tracked in EXPERIMENTS.md (Fig. 7 decision times).\",\n  \"sizes\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"round\",\n  \"scheduler\": \"hadar\",\n  \"mode\": \"{}\",\n  \"host_threads\": {},\n  \"timing\": \"wall-clock per full simulation; serial = 1 worker, parallel = auto workers (the default); job outcomes asserted bit-identical across the two\",\n  \"note\": \"{}\",\n  \"sizes\": [\n{}\n  ]\n}}\n",
         if quick { "quick" } else { "full" },
         host_threads,
+        note,
         sizes.join(",\n")
     );
     std::fs::write(&out_path, json).expect("write BENCH_round.json");

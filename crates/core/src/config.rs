@@ -93,12 +93,6 @@ pub struct HadarConfig {
     /// Worker threads for the intra-round candidate prefetch (default:
     /// auto-detect; output is byte-identical at any setting).
     pub round_parallelism: RoundParallelism,
-    /// Keep the candidate cache's placement-geometry layer alive across
-    /// rounds (keyed by usage fingerprint + job class, invalidated on any
-    /// price-shape/availability/feature change) instead of rebuilding it
-    /// from scratch every round. Exact — decisions are identical either
-    /// way; off exists for benchmarking the speedup.
-    pub cross_round_cache: bool,
 }
 
 impl Default for HadarConfig {
@@ -111,7 +105,6 @@ impl Default for HadarConfig {
             features: Features::default(),
             incremental: true,
             round_parallelism: RoundParallelism::default(),
-            cross_round_cache: true,
         }
     }
 }
@@ -139,7 +132,6 @@ mod tests {
         assert!(c.profiler.is_none());
         assert_eq!(c.utility.name(), "effective-throughput");
         assert_eq!(c.round_parallelism, RoundParallelism::Auto);
-        assert!(c.cross_round_cache);
     }
 
     #[test]

@@ -58,11 +58,10 @@ pub fn dp_allocation(queue: &[&JobState], env: &AllocEnv<'_>, usage: &Usage) -> 
     dp_allocation_cached(queue, env, usage, &mut CandidateCache::new())
 }
 
-/// [`dp_allocation`] against a caller-provided candidate cache, so the
-/// scheduler can carry cached geometry across rounds. One cache serves both
-/// the DP exploration and the greedy floor: the greedy admission path
-/// revisits usage states the DP already expanded, so its `find_alloc`
-/// queries are mostly cache hits.
+/// [`dp_allocation`] against a caller-provided candidate cache for the
+/// round. One cache serves both the DP exploration and the greedy floor:
+/// the greedy admission path revisits usage states the DP already expanded,
+/// so its `find_alloc` queries are mostly cache hits.
 pub fn dp_allocation_cached(
     queue: &[&JobState],
     env: &AllocEnv<'_>,
@@ -85,7 +84,7 @@ pub fn dp_allocation_cached(
         total_payoff,
         budget_exhausted,
     };
-    let mut greedy = greedy_with_cache(queue, env, usage, cache);
+    let mut greedy = greedy_allocation_cached(queue, env, usage, cache);
     if greedy.total_payoff > dp.total_payoff {
         greedy.budget_exhausted = budget_exhausted;
         greedy
@@ -159,22 +158,12 @@ fn dp_rec(
 /// time has already deflated their achievable utility. One `find_alloc` per
 /// job, prices updated after every admission.
 pub fn greedy_allocation(queue: &[&JobState], env: &AllocEnv<'_>, usage: &Usage) -> Selection {
-    greedy_with_cache(queue, env, usage, &mut CandidateCache::new())
+    greedy_allocation_cached(queue, env, usage, &mut CandidateCache::new())
 }
 
 /// [`greedy_allocation`] against a caller-provided candidate cache, so the
-/// DP can share the candidates it already enumerated with its greedy floor
-/// and the scheduler can carry cached geometry across rounds.
+/// DP can share the candidates it already enumerated with its greedy floor.
 pub fn greedy_allocation_cached(
-    queue: &[&JobState],
-    env: &AllocEnv<'_>,
-    usage: &Usage,
-    cache: &mut CandidateCache,
-) -> Selection {
-    greedy_with_cache(queue, env, usage, cache)
-}
-
-fn greedy_with_cache(
     queue: &[&JobState],
     env: &AllocEnv<'_>,
     usage: &Usage,

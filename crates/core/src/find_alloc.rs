@@ -17,6 +17,7 @@
 //! the underlying dual objective `argmax_s φ_j(s)` (Eq. 4) directly; for
 //! candidates with equal estimated finish times the two rules coincide.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -32,15 +33,6 @@ use crate::utility::Utility;
 /// Queues shorter than this never engage the parallel prefetch: thread
 /// startup would cost more than the enumeration it saves.
 pub(crate) const MIN_PARALLEL_QUEUE: usize = 64;
-
-/// Cross-round geometry entries untouched for this many rounds are evicted.
-const CLASS_KEEP_ROUNDS: u64 = 8;
-
-/// Machine-pool entries untouched for this many rounds are evicted. Pools
-/// are cheap to rebuild (one sort), so they are kept on a much shorter
-/// leash than class geometry; the payoff is within-round sharing plus the
-/// immediately-previous round's saturated states.
-const POOL_KEEP_ROUNDS: u64 = 2;
 
 /// Ablation switches for candidate generation (all on by default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +78,9 @@ pub struct AllocEnv<'a> {
     /// generation entirely.
     pub machine_factors: &'a [f64],
     /// Resolved worker-thread count for the candidate prefetch (1 = serial;
-    /// see [`crate::RoundParallelism`]). Only consulted by
-    /// [`CandidateCache::prefetch`] — candidate *content* never depends on
+    /// see [`crate::RoundParallelism`]). The DP and greedy subroutines read
+    /// it to decide whether to call [`CandidateCache::prefetch`], which
+    /// reads it as its worker count; candidate *content* never depends on
     /// it.
     pub round_threads: usize,
 }
@@ -132,206 +125,30 @@ pub fn find_alloc(state: &JobState, env: &AllocEnv<'_>, usage: &Usage) -> Option
     find_candidates(state, env, usage).into_iter().next()
 }
 
-/// The placement-relevant *class* of a job: gang size, GPU-type preference
-/// order, and which adjacent preferred types tie in throughput.
+/// The per-round memo of [`find_candidates`] results, keyed by
+/// `(job, usage fingerprint)` — Algorithm 2's "save the result … to avoid
+/// recomputing the same subproblem".
 ///
-/// Every job-independent generator in [`find_candidates`] — consolidated,
-/// spread, mixed-spread, and (when machine factors are all 0 or 1) the
-/// best-single-machine mix — produces identical geometry for two jobs of the
-/// same class at the same usage, because those generators consult the job
-/// only through its gang size and the *order* (plus tie structure) of its
-/// preferred types, never the throughput values themselves. The candidate
-/// cache exploits this to enumerate each class once per usage state instead
-/// of once per job — across rounds, since prices enter the geometry only
-/// through their [`PriceShape`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ClassKey {
-    gang: u32,
-    prefs: Vec<GpuTypeId>,
-    /// Bit `i` set ⇔ `rate(prefs[i]) == rate(prefs[i+1])`: resolves every
-    /// bottleneck comparison in [`mixed_best_single_machine`] without the
-    /// rate values (prefs are sorted by strictly descending rate between
-    /// tie groups).
-    ties: u32,
-}
-
-impl ClassKey {
-    fn of(state: &JobState) -> Option<ClassKey> {
-        let prefs = state.job.profile.types_by_preference();
-        if prefs.is_empty() || prefs.len() > 32 {
-            return None;
-        }
-        let mut ties = 0u32;
-        for i in 0..prefs.len() - 1 {
-            if state.job.profile.rate(prefs[i]) == state.job.profile.rate(prefs[i + 1]) {
-                ties |= 1 << i;
-            }
-        }
-        Some(ClassKey {
-            gang: state.job.gang,
-            prefs: prefs.to_vec(),
-            ties,
-        })
-    }
-}
-
-/// Everything *besides* the usage state that cached geometry depends on.
-/// Compared at the start of each round; any change drops the geometry layer
-/// wholesale (failures/recoveries flip `usable`, degenerate price bounds
-/// flip `shapes`, ablations flip `features`, stragglers flip `class_ok`).
-#[derive(Clone, PartialEq, Debug)]
-struct CacheCtx {
-    usable: Vec<bool>,
-    shapes: Vec<PriceShape>,
-    features: Features,
-    /// Fingerprint of the `c_h^r` capacity matrix, so a cache accidentally
-    /// carried across clusters can never serve foreign geometry.
-    caps_hash: u64,
-    /// Class sharing is sound only when every machine factor is exactly 0
-    /// or 1 — fractional stragglers make the best-single-machine bottleneck
-    /// depend on rate *values*, which differ within a class.
-    class_ok: bool,
-}
-
-impl CacheCtx {
-    fn of(env: &AllocEnv<'_>) -> Self {
-        let usable: Vec<bool> = env
-            .cluster
-            .machine_ids()
-            .map(|h| env.machine_usable(h))
-            .collect();
-        let shapes: Vec<PriceShape> = env
-            .cluster
-            .catalog()
-            .ids()
-            .map(|r| env.prices.shape(r))
-            .collect();
-        let class_ok = env.cluster.machine_ids().all(|h| {
-            let f = env.machine_factor(h);
-            f == 0.0 || f == 1.0
-        });
-        let mut caps_hash: u64 = 0xcbf29ce484222325;
-        for h in env.cluster.machine_ids() {
-            for r in env.cluster.catalog().ids() {
-                caps_hash ^= u64::from(env.cluster.capacity(h, r)) + 1;
-                caps_hash = caps_hash.wrapping_mul(0x100000001b3);
-            }
-        }
-        Self {
-            usable,
-            shapes,
-            features: env.features,
-            caps_hash,
-            class_ok,
-        }
-    }
-}
-
-struct ClassEntry {
-    geoms: Vec<Vec<PlacementSlice>>,
-    last_used: u64,
-}
-
-/// Memo of [`find_candidates`] results, layered for reuse both within and
-/// across scheduling rounds.
-///
-/// **Priced layer** (per round): full candidate lists keyed by
-/// `(job, usage fingerprint)`. Within one round the prices, queue, and clock
-/// are fixed, so a job's candidates depend only on the usage they are
-/// evaluated against; the DP subroutine and its greedy floor walk usage
-/// sequences that frequently coincide, and the parallel prefetch fills this
-/// layer from worker threads. Cleared by [`CandidateCache::begin_round`] —
-/// prices change every round and the profiler may substitute job profiles.
-///
-/// **Geometry layer** (cross round): raw placement geometries keyed by
-/// `(`[`ClassKey`]`, usage fingerprint)`, valid as long as the [`CacheCtx`]
-/// (availability mask, price shapes, feature flags) is unchanged. This is
-/// what makes quiescent rounds cheap: the long tail of queued-but-rejected
-/// jobs re-queries the same saturated usage round after round, and after
-/// this layer warms up each such query costs one evaluation pass instead of
-/// a full machines × types enumeration. Entries idle for
-/// [`CLASS_KEEP_ROUNDS`] rounds are evicted.
-///
-/// **Pool layer** (cross round, finer grain): per-GPU-type sorted machine
-/// pools keyed by `(type, `[`Usage::column_fingerprint`]`)` under the same
-/// [`CacheCtx`] validity. The greedy admission loop mutates usage after
-/// every admission, so its full fingerprints — and hence the class layer —
-/// rarely repeat; but each admission touches only the columns of the types
-/// it uses, so the *other* types' pools (and their `O(M log M)` sorts, the
-/// dominant per-query cost at scale) carry over unchanged. Entries idle
-/// for [`POOL_KEEP_ROUNDS`] rounds are evicted.
-///
-/// Exactness: geometry is deduplicated, priced, filtered, and ranked by the
-/// same code in the same order as a fresh [`find_candidates`] call, and a
-/// cached pool is bit-identical to a freshly built one (the key covers the
-/// entire column the pool was sorted from) — so cache hits are
-/// byte-identical to recomputation; only wall-clock changes. Both
-/// cross-round layers can be disabled with
-/// [`CandidateCache::set_cross_round`]`(false)`, which pins the cache to
-/// the per-round priced layer only — the pre-optimization baseline the
-/// round benchmark compares against.
+/// Within one round the prices, queue and clock are fixed, so a job's
+/// candidates depend only on the usage they are evaluated against; the DP
+/// subroutine and its greedy floor walk usage sequences that frequently
+/// coincide, and the parallel prefetch fills the memo from worker threads.
+/// Every entry is exactly what a fresh [`find_candidates`] call returns. A
+/// cache must not outlive its round: build a new one per round (prices
+/// change every round and the profiler may substitute job profiles).
 #[derive(Default)]
 pub struct CandidateCache {
     priced: HashMap<(u32, u64), Vec<Candidate>>,
-    class: HashMap<(ClassKey, u64), ClassEntry>,
-    pools: HashMap<(GpuTypeId, u64), PoolEntry>,
-    cross_round: bool,
-    ctx: Option<CacheCtx>,
-    round: u64,
     hits: usize,
     misses: usize,
     prefetched: usize,
-    class_hits: usize,
-    class_misses: usize,
-    pool_hits: usize,
-    pool_misses: usize,
     gen_seconds: f64,
 }
 
 impl CandidateCache {
-    /// An empty cache with the cross-round layers enabled. Usable as-is for
-    /// a single round; call [`CandidateCache::begin_round`] between rounds
-    /// to keep it alive across them.
+    /// An empty cache for one round.
     pub fn new() -> Self {
-        Self {
-            cross_round: true,
-            ..Self::default()
-        }
-    }
-
-    /// Enable or disable the cross-round layers (class geometry and machine
-    /// pools). Disabled, every miss re-enumerates from scratch and
-    /// [`CandidateCache::begin_round`] drops any cross-round state — the
-    /// exact pre-cache behaviour, kept selectable so benchmarks and
-    /// equivalence tests can compare against it.
-    pub fn set_cross_round(&mut self, enabled: bool) {
-        self.cross_round = enabled;
-    }
-
-    /// Start a new scheduling round: clears the per-round priced layer,
-    /// validates the geometry layer against the round's environment
-    /// (dropping it on any availability/price-shape/feature change), and
-    /// evicts geometry entries idle for [`CLASS_KEEP_ROUNDS`] rounds.
-    pub fn begin_round(&mut self, env: &AllocEnv<'_>) {
-        self.round += 1;
-        self.priced.clear();
-        let ctx = CacheCtx::of(env);
-        if self.ctx.as_ref() != Some(&ctx) || !self.cross_round {
-            self.class.clear();
-            self.pools.clear();
-            self.ctx = Some(ctx);
-        }
-        let round = self.round;
-        self.class
-            .retain(|_, e| e.last_used + CLASS_KEEP_ROUNDS >= round);
-        self.pools
-            .retain(|_, e| e.last_used + POOL_KEEP_ROUNDS >= round);
-    }
-
-    fn ensure_ctx(&mut self, env: &AllocEnv<'_>) {
-        if self.ctx.is_none() {
-            self.ctx = Some(CacheCtx::of(env));
-        }
+        Self::default()
     }
 
     /// The candidate list for `state` against `usage` (computed on first
@@ -342,101 +159,23 @@ impl CandidateCache {
         env: &AllocEnv<'_>,
         usage: &Usage,
     ) -> &[Candidate] {
-        let fp = usage.fingerprint();
-        let key = (state.job.id.0, fp);
-        if self.priced.contains_key(&key) {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            let t0 = Instant::now();
-            let cands = self.compute(state, env, usage, fp);
-            self.gen_seconds += t0.elapsed().as_secs_f64();
-            self.priced.insert(key, cands);
-        }
-        &self.priced[&key]
-    }
-
-    /// One full enumeration, going through the geometry and pool layers
-    /// when enabled (and, for the class layer, sound).
-    fn compute(
-        &mut self,
-        state: &JobState,
-        env: &AllocEnv<'_>,
-        usage: &Usage,
-        fp: u64,
-    ) -> Vec<Candidate> {
-        self.ensure_ctx(env);
-        if self.cross_round && self.ctx.as_ref().is_some_and(|c| c.class_ok) {
-            if let Some(class_key) = ClassKey::of(state) {
-                let key = (class_key, fp);
-                if let Some(e) = self.class.get_mut(&key) {
-                    e.last_used = self.round;
-                    self.class_hits += 1;
-                } else {
-                    self.class_misses += 1;
-                    let geoms = self.pooled_geometries(state, env, usage);
-                    self.class.insert(
-                        key.clone(),
-                        ClassEntry {
-                            geoms,
-                            last_used: self.round,
-                        },
-                    );
-                }
-                return assemble(state, env, usage, &self.class[&key].geoms);
+        match self.priced.entry((state.job.id.0, usage.fingerprint())) {
+            Entry::Occupied(e) => {
+                self.hits += 1;
+                e.into_mut()
             }
-        }
-        if self.cross_round {
-            let geoms = self.pooled_geometries(state, env, usage);
-            return assemble(state, env, usage, &geoms);
-        }
-        let geoms = class_geometries(state, env, usage);
-        assemble(state, env, usage, &geoms)
-    }
-
-    /// Class geometry through the pool layer: any pool whose
-    /// `(type, column fingerprint)` is cached is reused as-is; missing ones
-    /// are built and cached. Output is identical to [`class_geometries`] —
-    /// a cached pool was sorted from a column byte-equal to the current one.
-    fn pooled_geometries(
-        &mut self,
-        state: &JobState,
-        env: &AllocEnv<'_>,
-        usage: &Usage,
-    ) -> Vec<Vec<PlacementSlice>> {
-        let prefs: &[GpuTypeId] = state.job.profile.types_by_preference();
-        if prefs.is_empty() {
-            return Vec::new();
-        }
-        self.ensure_pools(env, usage, prefs);
-        let pools: Vec<&PoolEntry> = prefs
-            .iter()
-            .map(|&r| &self.pools[&(r, usage.column_fingerprint(r))])
-            .collect();
-        geometries_from_pools(state, env, usage, prefs, &pools)
-    }
-
-    /// Make sure every `prefs` type has a pool cached for `usage`'s current
-    /// column state (building missing ones), and mark them used this round.
-    fn ensure_pools(&mut self, env: &AllocEnv<'_>, usage: &Usage, prefs: &[GpuTypeId]) {
-        for &r in prefs {
-            match self.pools.entry((r, usage.column_fingerprint(r))) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    e.into_mut().last_used = self.round;
-                    self.pool_hits += 1;
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    self.pool_misses += 1;
-                    let mut pool = build_pool(env, usage, r);
-                    pool.last_used = self.round;
-                    v.insert(pool);
-                }
+            Entry::Vacant(v) => {
+                self.misses += 1;
+                let t0 = Instant::now();
+                let cands = find_candidates(state, env, usage);
+                self.gen_seconds += t0.elapsed().as_secs_f64();
+                v.insert(cands)
             }
         }
     }
 
-    /// Pre-populate the priced layer for `states` against one read-only
-    /// usage snapshot using `env.round_threads` worker threads.
+    /// Pre-populate the memo for `states` against one read-only usage
+    /// snapshot using `env.round_threads` worker threads.
     ///
     /// Deterministic by construction: workers compute the same pure
     /// function a serial miss would, results are inserted in index order,
@@ -458,78 +197,7 @@ impl CandidateCache {
         if todo.len() < 2 {
             return;
         }
-        self.ensure_ctx(env);
-        let class_ok = self.ctx.as_ref().is_some_and(|c| c.class_ok);
-        let cross_round = self.cross_round;
-
-        // With the cross-round layers on, materialize every pool the batch
-        // can touch up front: the worker threads then share them read-only
-        // and produce geometry identical to the serial pooled path. With
-        // them off, workers enumerate from scratch per job — the baseline
-        // path, merely parallelized.
-        if cross_round {
-            for s in &todo {
-                self.ensure_pools(env, usage, s.job.profile.types_by_preference());
-            }
-        }
-        let pools = &self.pools;
-        let geoms_of = |s: &JobState| -> Vec<Vec<PlacementSlice>> {
-            if !cross_round {
-                return class_geometries(s, env, usage);
-            }
-            let prefs: &[GpuTypeId] = s.job.profile.types_by_preference();
-            if prefs.is_empty() {
-                return Vec::new();
-            }
-            let refs: Vec<&PoolEntry> = prefs
-                .iter()
-                .map(|&r| &pools[&(r, usage.column_fingerprint(r))])
-                .collect();
-            geometries_from_pools(s, env, usage, prefs, &refs)
-        };
-
-        if cross_round && class_ok {
-            // Touch pre-existing geometry entries (they are about to be read
-            // from worker threads, which cannot bump `last_used`), then
-            // materialize the missing classes — in parallel, inserted in
-            // first-occurrence order.
-            let mut fresh: Vec<(ClassKey, &JobState)> = Vec::new();
-            for s in &todo {
-                if let Some(k) = ClassKey::of(s) {
-                    if let Some(e) = self.class.get_mut(&(k.clone(), fp)) {
-                        e.last_used = self.round;
-                        self.class_hits += 1;
-                    } else if !fresh.iter().any(|(f, _)| *f == k) {
-                        fresh.push((k, s));
-                    }
-                }
-            }
-            let geoms = run_chunked(threads, &fresh, |(_, rep)| geoms_of(rep));
-            for ((k, _), g) in fresh.into_iter().zip(geoms) {
-                self.class_misses += 1;
-                self.class.insert(
-                    (k, fp),
-                    ClassEntry {
-                        geoms: g,
-                        last_used: self.round,
-                    },
-                );
-            }
-        }
-
-        // Price every job in parallel against the (now read-only) geometry
-        // layer, then insert in index order.
-        let class = &self.class;
-        let priced = run_chunked(threads, &todo, |s| {
-            if cross_round && class_ok {
-                if let Some(k) = ClassKey::of(s) {
-                    if let Some(e) = class.get(&(k, fp)) {
-                        return assemble(s, env, usage, &e.geoms);
-                    }
-                }
-            }
-            assemble(s, env, usage, &geoms_of(s))
-        });
+        let priced = run_chunked(threads, &todo, |s| find_candidates(s, env, usage));
         for (s, cands) in todo.iter().zip(priced) {
             self.prefetched += 1;
             self.priced.insert((s.job.id.0, fp), cands);
@@ -547,7 +215,7 @@ impl CandidateCache {
         self.candidates(state, env, usage).first().cloned()
     }
 
-    /// Queries answered from the priced memo (including prefetched entries).
+    /// Queries answered from the memo (including prefetched entries).
     pub fn hits(&self) -> usize {
         self.hits
     }
@@ -560,27 +228,6 @@ impl CandidateCache {
     /// Entries computed ahead of demand by [`CandidateCache::prefetch`].
     pub fn prefetched(&self) -> usize {
         self.prefetched
-    }
-
-    /// Enumerations answered from the cross-round geometry layer.
-    pub fn class_hits(&self) -> usize {
-        self.class_hits
-    }
-
-    /// Geometry sets enumerated from scratch.
-    pub fn class_misses(&self) -> usize {
-        self.class_misses
-    }
-
-    /// Machine-pool lookups served from the pool layer (the per-query
-    /// machine sort skipped).
-    pub fn pool_hits(&self) -> usize {
-        self.pool_hits
-    }
-
-    /// Machine pools built (and cached) from a column scan + sort.
-    pub fn pool_misses(&self) -> usize {
-        self.pool_misses
     }
 
     /// Total wall-clock seconds spent generating candidates (serial misses
@@ -620,98 +267,11 @@ fn run_chunked<T: Sync, R: Send + Default + Clone>(
 /// first. The DP subroutine branches over these so it can deliberately give
 /// a job a slower (cheaper) type when that frees a fast type for a job that
 /// benefits more from it.
+///
+/// The sticky candidate (if it still fits) comes first, then the generated
+/// geometries in [`geometries`] order; the first occurrence of each distinct
+/// placement with positive payoff is kept.
 pub fn find_candidates(state: &JobState, env: &AllocEnv<'_>, usage: &Usage) -> Vec<Candidate> {
-    assemble(state, env, usage, &class_geometries(state, env, usage))
-}
-
-/// The machines that can host type-`r` tasks at one usage column state,
-/// most-free-first (machine id breaking ties) — the single ordering every
-/// per-type generator consumes. Building one costs the `O(M log M)` sort
-/// the pre-pool code paid inside *each* of `spread_homogeneous` and
-/// `mixed_spread` per query; [`CandidateCache`] keys pools by
-/// `(type, `[`Usage::column_fingerprint`]`)` so the sort is paid once per
-/// column *change* (an admission touches only the columns of the types it
-/// uses) instead of once per query.
-struct PoolEntry {
-    /// Usable machines with free type-`r` capacity: `(free, machine)`.
-    by_free: Vec<(u32, MachineId)>,
-    last_used: u64,
-}
-
-/// Enumerate and sort the usable free machines for type `r`.
-fn build_pool(env: &AllocEnv<'_>, usage: &Usage, r: GpuTypeId) -> PoolEntry {
-    let mut by_free: Vec<(u32, MachineId)> = env
-        .cluster
-        .machine_ids()
-        .filter(|&h| env.machine_usable(h))
-        .filter_map(|h| {
-            let f = usage.free(env.cluster, h, r);
-            (f > 0).then_some((f, h))
-        })
-        .collect();
-    by_free.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    PoolEntry {
-        by_free,
-        last_used: 0,
-    }
-}
-
-/// The job-independent geometry slate for `state`'s class at `usage`, in
-/// generation order: per preferred type a consolidated and a spread
-/// placement, then the mixed-type variants. This is the expensive
-/// machines × types enumeration the cross-round cache shares between jobs
-/// of one [`ClassKey`]. Builds throwaway machine pools; the cache calls
-/// [`geometries_from_pools`] directly with memoized ones.
-fn class_geometries(
-    state: &JobState,
-    env: &AllocEnv<'_>,
-    usage: &Usage,
-) -> Vec<Vec<PlacementSlice>> {
-    let prefs: &[GpuTypeId] = state.job.profile.types_by_preference();
-    let owned: Vec<PoolEntry> = prefs.iter().map(|&r| build_pool(env, usage, r)).collect();
-    let pools: Vec<&PoolEntry> = owned.iter().collect();
-    geometries_from_pools(state, env, usage, prefs, &pools)
-}
-
-/// [`class_geometries`] against pre-built per-type machine pools (`pools`
-/// aligned with `prefs`). Pure in the pools: equal pool contents ⇒ equal
-/// geometry, which is what lets the cache share pools across jobs, queries,
-/// and rounds.
-fn geometries_from_pools(
-    state: &JobState,
-    env: &AllocEnv<'_>,
-    usage: &Usage,
-    prefs: &[GpuTypeId],
-    pools: &[&PoolEntry],
-) -> Vec<Vec<PlacementSlice>> {
-    if prefs.is_empty() {
-        return Vec::new();
-    }
-    let w = state.job.gang;
-    let mut geoms: Vec<Vec<PlacementSlice>> = Vec::new();
-    for (&r, pool) in prefs.iter().zip(pools) {
-        geoms.extend(consolidated_homogeneous(env, usage, pool, r, w));
-        geoms.extend(spread_homogeneous(pool, r, w));
-    }
-    if env.features.mixed_types {
-        geoms.extend(mixed_spread(prefs, pools, w));
-        geoms.extend(mixed_best_single_machine(state, env, usage, prefs, w));
-    }
-    geoms
-}
-
-/// Price, deduplicate, filter, and rank a geometry slate for one job: the
-/// sticky candidate (if it still fits) followed by the class geometries,
-/// keeping the first occurrence of each distinct placement with positive
-/// payoff, best payoff first — the exact semantics of the pre-cache
-/// enumeration loop, factored out so cached and fresh geometry price
-/// identically.
-fn assemble(
-    state: &JobState,
-    env: &AllocEnv<'_>,
-    usage: &Usage,
-    geoms: &[Vec<PlacementSlice>],
-) -> Vec<Candidate> {
     let mut cands: Vec<Candidate> = Vec::new();
     let mut consider = |slices: Vec<PlacementSlice>| {
         if let Some(c) = evaluate(state, env, usage, slices) {
@@ -729,12 +289,48 @@ fn assemble(
     {
         consider(state.placement.slices().to_vec());
     }
-    for g in geoms {
-        consider(g.clone());
+    for g in geometries(state, env, usage) {
+        consider(g);
     }
 
     cands.sort_by(|a, b| b.payoff.total_cmp(&a.payoff));
     cands
+}
+
+/// The machines that can host type-`r` tasks at `usage`, most-free-first
+/// (machine id breaking ties), as `(free, machine)` pairs — the single
+/// ordering every per-type generator consumes, sorted once per query.
+fn pool(env: &AllocEnv<'_>, usage: &Usage, r: GpuTypeId) -> Vec<(u32, MachineId)> {
+    let mut by_free: Vec<(u32, MachineId)> = env
+        .cluster
+        .machine_ids()
+        .filter(|&h| env.machine_usable(h))
+        .filter_map(|h| {
+            let f = usage.free(env.cluster, h, r);
+            (f > 0).then_some((f, h))
+        })
+        .collect();
+    by_free.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    by_free
+}
+
+/// The placement geometries for `state` at `usage`, in generation order:
+/// per preferred type a consolidated and a spread placement, then the
+/// mixed-type variants.
+fn geometries(state: &JobState, env: &AllocEnv<'_>, usage: &Usage) -> Vec<Vec<PlacementSlice>> {
+    let prefs: &[GpuTypeId] = state.job.profile.types_by_preference();
+    let pools: Vec<Vec<(u32, MachineId)>> = prefs.iter().map(|&r| pool(env, usage, r)).collect();
+    let w = state.job.gang;
+    let mut geoms: Vec<Vec<PlacementSlice>> = Vec::new();
+    for (&r, pool) in prefs.iter().zip(&pools) {
+        geoms.extend(consolidated_homogeneous(env, usage, pool, r, w));
+        geoms.extend(spread_homogeneous(pool, r, w));
+    }
+    if env.features.mixed_types && !prefs.is_empty() {
+        geoms.extend(mixed_spread(prefs, &pools, w));
+        geoms.extend(mixed_best_single_machine(state, env, usage, prefs, w));
+    }
+    geoms
 }
 
 /// Price and score one candidate.
@@ -803,9 +399,8 @@ pub fn fits(cluster: &Cluster, usage: &Usage, placement: &JobPlacement) -> bool 
 /// All `w` workers of type `r` on one machine; among feasible machines, the
 /// cheapest (lowest current price — i.e. the least-loaded server).
 ///
-/// Selected by exact comparison rather than computed prices, so the result
-/// is reusable across rounds whose price *values* differ but whose
-/// [`PriceShape`] agrees: zero-priced machines (`c_h^r = 0`, or a
+/// Selected by exact comparison under the type's [`PriceShape`] rather than
+/// by computed float prices: zero-priced machines (`c_h^r = 0`, or a
 /// [`PriceShape::Zero`] type) rank before any positive price; on a
 /// [`PriceShape::Curve`] type the price is strictly increasing in the fill
 /// fraction `γ/c`, compared here by cross-multiplication; on a
@@ -815,7 +410,7 @@ pub fn fits(cluster: &Cluster, usage: &Usage, placement: &JobPlacement) -> bool 
 fn consolidated_homogeneous(
     env: &AllocEnv<'_>,
     usage: &Usage,
-    pool: &PoolEntry,
+    pool: &[(u32, MachineId)],
     r: GpuTypeId,
     w: u32,
 ) -> Option<Vec<PlacementSlice>> {
@@ -827,7 +422,7 @@ fn consolidated_homogeneous(
     // full cluster scan would admit; ties break on machine id explicitly
     // because the pool is not in id order.
     let mut best: Option<(u8, u64, u64, MachineId)> = None;
-    for &(free, h) in &pool.by_free {
+    for &(free, h) in pool {
         if free < w {
             continue;
         }
@@ -863,18 +458,26 @@ fn consolidated_homogeneous(
 
 /// All `w` workers of type `r`, spread across the fewest machines
 /// (most-free-first fill).
-fn spread_homogeneous(pool: &PoolEntry, r: GpuTypeId, w: u32) -> Option<Vec<PlacementSlice>> {
-    fill(pool.by_free.iter().map(|&(f, h)| (h, r, f)), w)
+fn spread_homogeneous(
+    pool: &[(u32, MachineId)],
+    r: GpuTypeId,
+    w: u32,
+) -> Option<Vec<PlacementSlice>> {
+    fill(pool.iter().map(|&(f, h)| (h, r, f)), w)
 }
 
 /// All `w` workers filled from the fastest types first, spreading over
 /// machines as needed — the fully flexible task-level placement.
-fn mixed_spread(prefs: &[GpuTypeId], pools: &[&PoolEntry], w: u32) -> Option<Vec<PlacementSlice>> {
+fn mixed_spread(
+    prefs: &[GpuTypeId],
+    pools: &[Vec<(u32, MachineId)>],
+    w: u32,
+) -> Option<Vec<PlacementSlice>> {
     fill(
         prefs
             .iter()
             .zip(pools)
-            .flat_map(|(&r, p)| p.by_free.iter().map(move |&(f, h)| (h, r, f))),
+            .flat_map(|(&r, p)| p.iter().map(move |&(f, h)| (h, r, f))),
         w,
     )
 }
@@ -1266,126 +869,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_round_geometry_reuse_is_exact() {
-        // Two jobs of the same model and gang share a ClassKey; after the
-        // first enumeration the second job (and later rounds) must be served
-        // from the geometry layer with byte-identical candidate lists.
-        let cluster = Cluster::motivation_toy();
-        let a = JobState::new(Job::for_model(
-            JobId(0),
-            DlTask::ResNet18,
-            cluster.catalog(),
-            0.0,
-            2,
-            50,
-        ));
-        let b = JobState::new(Job::for_model(
-            JobId(1),
-            DlTask::ResNet18,
-            cluster.catalog(),
-            0.0,
-            2,
-            80,
-        ));
-        let comm = CommCostModel::default();
-        let prices = prices_for(&cluster, &a);
-        let u = EffectiveThroughput;
-        let e = env(&cluster, &comm, &prices, &u);
-        let usage = Usage::empty(&cluster);
-        let mut cache = CandidateCache::new();
-
-        cache.begin_round(&e);
-        assert_eq!(
-            cache.candidates(&a, &e, &usage),
-            find_candidates(&a, &e, &usage).as_slice()
-        );
-        assert_eq!(
-            cache.candidates(&b, &e, &usage),
-            find_candidates(&b, &e, &usage).as_slice()
-        );
-        assert_eq!((cache.class_hits(), cache.class_misses()), (1, 1));
-
-        // Next round: the priced layer is gone, the geometry layer serves.
-        cache.begin_round(&e);
-        assert_eq!(
-            cache.candidates(&a, &e, &usage),
-            find_candidates(&a, &e, &usage).as_slice()
-        );
-        assert_eq!((cache.class_hits(), cache.class_misses()), (2, 1));
-    }
-
-    #[test]
-    fn straggler_factors_disable_class_sharing_but_stay_exact() {
-        // With a fractional machine factor the bottleneck comparison depends
-        // on rate values, so class sharing must switch off — and a context
-        // change between rounds must drop previously cached geometry.
-        let (cluster, state) = setup(2);
-        let other = JobState::new(Job::for_model(
-            JobId(7),
-            DlTask::ResNet18,
-            cluster.catalog(),
-            0.0,
-            2,
-            60,
-        ));
-        let comm = CommCostModel::default();
-        let prices = prices_for(&cluster, &state);
-        let u = EffectiveThroughput;
-        let healthy = env(&cluster, &comm, &prices, &u);
-        let factors = [0.3, 1.0, 1.0];
-        let straggling = AllocEnv {
-            machine_factors: &factors,
-            ..env(&cluster, &comm, &prices, &u)
-        };
-        let usage = Usage::empty(&cluster);
-        let mut cache = CandidateCache::new();
-
-        cache.begin_round(&healthy);
-        cache.candidates(&state, &healthy, &usage);
-        assert_eq!(cache.class_misses(), 1);
-
-        cache.begin_round(&straggling);
-        assert_eq!(
-            cache.candidates(&state, &straggling, &usage),
-            find_candidates(&state, &straggling, &usage).as_slice()
-        );
-        assert_eq!(
-            cache.candidates(&other, &straggling, &usage),
-            find_candidates(&other, &straggling, &usage).as_slice()
-        );
-        // Same class, but no sharing happened under fractional factors.
-        assert_eq!(cache.class_hits(), 0);
-        assert_eq!(cache.class_misses(), 1);
-    }
-
-    #[test]
-    fn idle_geometry_entries_are_evicted() {
-        let (cluster, state) = setup(2);
-        let comm = CommCostModel::default();
-        let prices = prices_for(&cluster, &state);
-        let u = EffectiveThroughput;
-        let e = env(&cluster, &comm, &prices, &u);
-        let usage = Usage::empty(&cluster);
-        let mut cache = CandidateCache::new();
-
-        cache.begin_round(&e);
-        cache.candidates(&state, &e, &usage);
-        assert_eq!(cache.class_misses(), 1);
-
-        // Kept alive while recently used…
-        cache.begin_round(&e);
-        cache.candidates(&state, &e, &usage);
-        assert_eq!((cache.class_hits(), cache.class_misses()), (1, 1));
-
-        // …but evicted after CLASS_KEEP_ROUNDS idle rounds.
-        for _ in 0..=CLASS_KEEP_ROUNDS {
-            cache.begin_round(&e);
-        }
-        cache.candidates(&state, &e, &usage);
-        assert_eq!((cache.class_hits(), cache.class_misses()), (1, 2));
-    }
-
-    #[test]
     fn prefetch_is_byte_identical_to_serial() {
         let cluster = Cluster::motivation_toy();
         let models = [
@@ -1429,7 +912,6 @@ mod tests {
                 round_threads: 4,
             };
             let mut cache = CandidateCache::new();
-            cache.begin_round(&e);
             cache.prefetch(&refs, &e, &usage);
             assert_eq!(cache.prefetched(), states.len());
             assert_eq!(cache.misses(), 0);
@@ -1443,83 +925,6 @@ mod tests {
             }
             assert_eq!(cache.hits(), states.len());
         }
-    }
-
-    #[test]
-    #[ignore = "manual perf probe"]
-    fn perf_probe_component_breakdown() {
-        use std::time::Instant;
-        let cluster = Cluster::scaled(64);
-        let models = [
-            DlTask::ResNet18,
-            DlTask::ResNet50,
-            DlTask::Lstm,
-            DlTask::Transformer,
-        ];
-        let states: Vec<JobState> = (0..600)
-            .map(|i| {
-                JobState::new(Job::for_model(
-                    JobId(i as u32),
-                    models[i % models.len()],
-                    cluster.catalog(),
-                    0.0,
-                    [1, 2, 4, 8][i % 4],
-                    40 + (i as u64 % 50),
-                ))
-            })
-            .collect();
-        let comm = CommCostModel::default();
-        let prices = PriceState::compute(&states, &cluster, &EffectiveThroughput, 0.0);
-        let u = EffectiveThroughput;
-        let e = env(&cluster, &comm, &prices, &u);
-        let mut usage = Usage::empty(&cluster);
-        let (mut t_pool, mut t_cons, mut t_spread, mut t_mixed, mut t_single, mut t_asm) =
-            (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        let mut queries = 0usize;
-        for s in &states {
-            if usage.is_cluster_full(&cluster) {
-                break;
-            }
-            queries += 1;
-            let prefs = s.job.profile.types_by_preference();
-            let w = s.job.gang;
-            let t0 = Instant::now();
-            let owned: Vec<PoolEntry> = prefs.iter().map(|&r| build_pool(&e, &usage, r)).collect();
-            let pools: Vec<&PoolEntry> = owned.iter().collect();
-            t_pool += t0.elapsed().as_secs_f64();
-            let mut geoms = Vec::new();
-            let t0 = Instant::now();
-            for (&r, p) in prefs.iter().zip(&pools) {
-                geoms.extend(consolidated_homogeneous(&e, &usage, p, r, w));
-            }
-            t_cons += t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            for (&r, p) in prefs.iter().zip(&pools) {
-                geoms.extend(spread_homogeneous(p, r, w));
-            }
-            t_spread += t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            geoms.extend(mixed_spread(prefs, &pools, w));
-            t_mixed += t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            geoms.extend(mixed_best_single_machine(s, &e, &usage, prefs, w));
-            t_single += t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            let cands = assemble(s, &e, &usage, &geoms);
-            t_asm += t0.elapsed().as_secs_f64();
-            if let Some(c) = cands.first() {
-                if c.payoff > 0.0 {
-                    for sl in c.placement.slices() {
-                        usage.add(sl.machine, sl.gpu, sl.count);
-                    }
-                }
-            }
-        }
-        let us = |t: f64| t / queries as f64 * 1e6;
-        eprintln!(
-            "{queries} queries: pool {:.2}us cons {:.2}us spread {:.2}us mixed {:.2}us single {:.2}us assemble {:.2}us",
-            us(t_pool), us(t_cons), us(t_spread), us(t_mixed), us(t_single), us(t_asm),
-        );
     }
 
     #[test]

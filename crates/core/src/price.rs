@@ -28,12 +28,12 @@ pub struct PriceState {
 
 /// The functional *shape* of `k_h^r(γ)` for one GPU type this round.
 ///
-/// The cross-round candidate cache uses this to prove machine-selection
-/// decisions independent of the price *values* (which change every round):
-/// on a [`PriceShape::Curve`] type the price is strictly increasing in the
-/// fill fraction `γ/c`, so the cheapest feasible machine is the one with the
-/// smallest fraction regardless of what `U_min`/`U_max` are; on the other
-/// two shapes every machine of the type prices identically.
+/// Candidate generation uses this to pick the cheapest machine by exact
+/// comparison instead of float prices: on a [`PriceShape::Curve`] type the
+/// price is strictly increasing in the fill fraction `γ/c`, so the cheapest
+/// feasible machine is the one with the smallest fraction regardless of
+/// what `U_min`/`U_max` are; on the other two shapes every machine of the
+/// type prices identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PriceShape {
     /// `U_max^r ≤ 0`: the price is 0 at any fill.

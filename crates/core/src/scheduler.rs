@@ -28,11 +28,6 @@ pub struct HadarScheduler {
     cached_set: Option<u64>,
     /// Whether every queued job was placed by the cached allocation.
     cached_all_placed: bool,
-    /// The cross-round candidate cache: priced candidates per round plus
-    /// placement geometries that survive across rounds (keyed by usage
-    /// fingerprint + job class; [`CandidateCache::begin_round`] invalidates
-    /// on any price-shape/availability/feature change).
-    cache: CandidateCache,
     /// Set on every arrival/completion notification, cleared after a full
     /// re-optimization. Belt-and-braces companion to the job-set
     /// fingerprint: the incremental fast path must never fire between an
@@ -56,7 +51,6 @@ impl HadarScheduler {
             last_bound: None,
             cached_set: None,
             cached_all_placed: false,
-            cache: CandidateCache::new(),
             dirty: true,
             last_phases: None,
             round_profiler: RoundProfiler::new(),
@@ -198,24 +192,15 @@ impl Scheduler for HadarScheduler {
         };
         let usage = Usage::empty(ctx.cluster);
         let queue: Vec<&JobState> = states.iter().collect();
-        // With the cross-round cache off (benchmark/ablation mode),
-        // begin_round drops the geometry and pool layers and every miss
-        // re-enumerates from scratch — the pre-cache baseline.
-        self.cache.set_cross_round(self.config.cross_round_cache);
-        self.cache.begin_round(&env);
-        let gen0 = self.cache.gen_seconds();
+        // One memo per round: prices and (profiled) job states change
+        // between rounds, so nothing in it could be reused.
+        let mut cache = CandidateCache::new();
         let selection = self.round_profiler.time(RoundPhase::Select, || {
-            run_subroutine(
-                self.config.alloc_mode,
-                &queue,
-                &env,
-                &usage,
-                &mut self.cache,
-            )
+            run_subroutine(self.config.alloc_mode, &queue, &env, &usage, &mut cache)
         });
         // The cache timed candidate generation internally while the
         // subroutine ran; carve it out of the selection phase.
-        let candidates_seconds = self.cache.gen_seconds() - gen0;
+        let candidates_seconds = cache.gen_seconds();
         self.round_profiler.reattribute(
             RoundPhase::Select,
             RoundPhase::Candidates,
