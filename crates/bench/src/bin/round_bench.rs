@@ -28,7 +28,6 @@ fn scaled_cluster(num_jobs: usize) -> Cluster {
 struct ModeResult {
     wall_seconds: f64,
     decision_seconds: f64,
-    candidates_seconds: f64,
     rounds: usize,
     outcome: SimOutcome,
 }
@@ -56,11 +55,9 @@ fn run_mode(num_jobs: usize, max_rounds: u64, parallelism: RoundParallelism) -> 
         .run(scheduler)
         .expect("valid round-bench scenario");
     let wall_seconds = t0.elapsed().as_secs_f64();
-    let (_, candidates_seconds, _) = outcome.phase_totals();
     ModeResult {
         wall_seconds,
         decision_seconds: outcome.total_decision_seconds(),
-        candidates_seconds,
         rounds: outcome.rounds.len(),
         outcome,
     }
@@ -129,11 +126,8 @@ fn main() {
             r.serial.wall_seconds / r.parallel.wall_seconds,
         );
         println!(
-            "          decision totals: serial {:>7.2}s (candidates {:>6.2}s) | parallel {:>7.2}s (candidates {:>6.2}s)",
-            r.serial.decision_seconds,
-            r.serial.candidates_seconds,
-            r.parallel.decision_seconds,
-            r.parallel.candidates_seconds,
+            "          decision totals: serial {:>7.2}s | parallel {:>7.2}s",
+            r.serial.decision_seconds, r.parallel.decision_seconds,
         );
         results.push(r);
     }
@@ -144,11 +138,8 @@ fn main() {
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_round.json").into());
     let mode_json = |m: &ModeResult| {
         format!(
-            concat!(
-                "{{\"wall_seconds\": {:.4}, \"decision_seconds\": {:.4}, ",
-                "\"candidates_seconds\": {:.4}}}"
-            ),
-            m.wall_seconds, m.decision_seconds, m.candidates_seconds,
+            "{{\"wall_seconds\": {:.4}, \"decision_seconds\": {:.4}}}",
+            m.wall_seconds, m.decision_seconds,
         )
     };
     let speedups: Vec<f64> = results

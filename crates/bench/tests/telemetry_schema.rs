@@ -1,7 +1,8 @@
 //! Acceptance test for the telemetry subsystem: every policy's JSONL
 //! stream validates against schema `hadar.telemetry.v1`, carries that
-//! policy's own counters, and recording the stream never perturbs the
-//! simulated schedule (the sink is purely observational).
+//! policy's own counters, is deterministic outside its wall-clock fields,
+//! and recording the stream never perturbs the simulated schedule (the sink
+//! is purely observational).
 
 use hadar_bench::experiments::{run_scenario_with_telemetry, SchedulerKind};
 use hadar_cluster::Cluster;
@@ -77,5 +78,46 @@ fn observing_sink_never_perturbs_the_schedule() {
             assert_eq!(a.first_scheduled, b.first_scheduled);
             assert_eq!(a.reallocations, b.reallocations);
         }
+    }
+}
+
+/// A round line without its two wall-clock fields, `decision_s` and the
+/// `phases` object; every other line unchanged.
+fn strip_timings(line: &str) -> String {
+    if !line.starts_with("{\"type\":\"round\"") {
+        return line.to_owned();
+    }
+    let mut out = line.to_owned();
+    for (key, end) in [(",\"decision_s\":", ','), (",\"phases\":{", '}')] {
+        if let Some(start) = out.find(key) {
+            let rest = start + key.len();
+            let stop = rest + out[rest..].find(end).expect("field is terminated");
+            let stop = if end == '}' { stop + 1 } else { stop };
+            out.replace_range(start..stop, "");
+        }
+    }
+    out
+}
+
+#[test]
+fn same_seed_streams_match_outside_wall_clock_fields() {
+    for (kind, _) in POLICY_KEYS {
+        let streams: Vec<String> = (0..2)
+            .map(|_| {
+                let out = run(kind, Telemetry::enabled());
+                let stream = out.telemetry_stream().expect("stream recorded");
+                stream
+                    .lines()
+                    .map(strip_timings)
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            })
+            .collect();
+        assert!(
+            !streams[0].contains("decision_s") && !streams[0].contains("phases"),
+            "{}: wall-clock fields left after stripping",
+            kind.name()
+        );
+        assert_eq!(streams[0], streams[1], "{}", kind.name());
     }
 }

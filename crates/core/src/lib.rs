@@ -68,7 +68,7 @@ pub mod utility;
 pub use config::{AllocMode, HadarConfig, RoundParallelism};
 pub use find_alloc::{CandidateCache, Features};
 pub use price::{CompetitiveBound, PriceShape, PriceState};
-pub use profiler::{RoundPhase, RoundProfiler, RoundTimings, ThroughputEstimator};
+pub use profiler::ThroughputEstimator;
 pub use scheduler::HadarScheduler;
 pub use theory::{audit_round, RoundAudit};
 pub use utility::{

@@ -1,5 +1,4 @@
-//! Throughput estimation (the "throughput estimator" of Fig. 2) and the
-//! round-path profiler.
+//! Throughput estimation (the "throughput estimator" of Fig. 2).
 //!
 //! Hadar "obtains performance measurements for each runnable job on each
 //! available accelerator type either from user input or by profiling during
@@ -9,115 +8,11 @@
 //! by deterministic multiplicative noise; afterwards the measured (exact)
 //! profile is used. This lets ablations quantify how sensitive Hadar is to
 //! estimation error.
-//!
-//! [`RoundProfiler`] is unrelated to throughput: it is the wall-clock
-//! stopwatch the scheduler runs its own round phases under (price update,
-//! candidate generation, selection), feeding the per-round
-//! `DecisionPhases` records the simulator surfaces in `SimOutcome` and the
-//! `round_bench` binary aggregates.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use hadar_cluster::JobId;
 use hadar_workload::{Job, ThroughputProfile};
-
-/// One scheduling round's intra-round phases, in execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoundPhase {
-    /// Dual price recomputation (Eq. 5) over the live queue.
-    Price,
-    /// Candidate enumeration — serial misses plus parallel prefetch batches.
-    Candidates,
-    /// The Algorithm-2 subroutine (DP or greedy floor) minus the candidate
-    /// generation it triggered.
-    Select,
-}
-
-/// Seconds attributed to each [`RoundPhase`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RoundTimings {
-    /// Seconds in [`RoundPhase::Price`].
-    pub price_seconds: f64,
-    /// Seconds in [`RoundPhase::Candidates`].
-    pub candidates_seconds: f64,
-    /// Seconds in [`RoundPhase::Select`].
-    pub select_seconds: f64,
-}
-
-impl RoundTimings {
-    fn slot(&mut self, phase: RoundPhase) -> &mut f64 {
-        match phase {
-            RoundPhase::Price => &mut self.price_seconds,
-            RoundPhase::Candidates => &mut self.candidates_seconds,
-            RoundPhase::Select => &mut self.select_seconds,
-        }
-    }
-
-    /// Total seconds across all phases.
-    pub fn total_seconds(&self) -> f64 {
-        self.price_seconds + self.candidates_seconds + self.select_seconds
-    }
-}
-
-/// Wall-clock profiler for the scheduler's round path: accumulates seconds
-/// per [`RoundPhase`] within the current round and folds finished rounds
-/// into lifetime totals. Purely observational — it never influences
-/// decisions, so timings can vary run-to-run while outputs stay identical.
-#[derive(Debug, Clone, Default)]
-pub struct RoundProfiler {
-    current: RoundTimings,
-    totals: RoundTimings,
-    rounds: usize,
-}
-
-impl RoundProfiler {
-    /// A fresh profiler with zeroed totals.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Run `f`, attributing its wall-clock to `phase` in the current round.
-    pub fn time<T>(&mut self, phase: RoundPhase, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        *self.current.slot(phase) += t0.elapsed().as_secs_f64();
-        out
-    }
-
-    /// Move `seconds` of already-recorded time from one phase to another.
-    /// The candidate cache measures generation time internally while the
-    /// selection subroutine runs; this carves it out of
-    /// [`RoundPhase::Select`] into [`RoundPhase::Candidates`] without
-    /// double-counting. Clamped so no phase goes negative.
-    pub fn reattribute(&mut self, from: RoundPhase, to: RoundPhase, seconds: f64) {
-        let moved = seconds.max(0.0).min(*self.current.slot(from));
-        *self.current.slot(from) -= moved;
-        *self.current.slot(to) += moved;
-    }
-
-    /// Close the current round: returns its timings and folds them into the
-    /// lifetime totals.
-    pub fn finish_round(&mut self) -> RoundTimings {
-        let round = self.current;
-        self.totals.price_seconds += round.price_seconds;
-        self.totals.candidates_seconds += round.candidates_seconds;
-        self.totals.select_seconds += round.select_seconds;
-        self.rounds += 1;
-        self.current = RoundTimings::default();
-        round
-    }
-
-    /// Lifetime per-phase totals over all finished rounds.
-    pub fn totals(&self) -> RoundTimings {
-        self.totals
-    }
-
-    /// Finished rounds folded into [`RoundProfiler::totals`].
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-}
 
 /// Profiling-phase parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -280,58 +175,5 @@ mod tests {
             let v = hash01(1, a, a * 3);
             assert!((0.0..1.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn round_profiler_times_and_folds_rounds() {
-        let mut p = RoundProfiler::new();
-        let out = p.time(RoundPhase::Price, || 41 + 1);
-        assert_eq!(out, 42);
-        p.time(RoundPhase::Select, || std::hint::black_box(()));
-        let round = p.finish_round();
-        assert!(round.price_seconds >= 0.0 && round.select_seconds >= 0.0);
-        assert_eq!(round.candidates_seconds, 0.0);
-        assert_eq!(p.rounds(), 1);
-        assert_eq!(p.totals(), round);
-        // A second round accumulates into the lifetime totals.
-        p.time(RoundPhase::Candidates, || std::hint::black_box(()));
-        let r2 = p.finish_round();
-        assert_eq!(p.rounds(), 2);
-        assert!(
-            (p.totals().total_seconds() - (round.total_seconds() + r2.total_seconds())).abs()
-                < 1e-12
-        );
-    }
-
-    #[test]
-    fn reattribute_moves_time_and_clamps() {
-        let mut p = RoundProfiler::new();
-        p.time(RoundPhase::Select, || {
-            std::thread::sleep(std::time::Duration::from_millis(2))
-        });
-        let before = p.finish_round();
-        assert!(before.select_seconds > 0.0);
-
-        // Fresh round: record select time, then carve half into candidates.
-        p.time(RoundPhase::Select, || {
-            std::thread::sleep(std::time::Duration::from_millis(2))
-        });
-        let select = {
-            // Peek via a clone of the fold.
-            let mut q = p.clone();
-            q.finish_round().select_seconds
-        };
-        p.reattribute(RoundPhase::Select, RoundPhase::Candidates, select / 2.0);
-        let round = p.finish_round();
-        assert!((round.candidates_seconds - select / 2.0).abs() < 1e-12);
-        assert!((round.select_seconds - select / 2.0).abs() < 1e-12);
-
-        // Over-moving clamps at the available time; negatives are ignored.
-        p.time(RoundPhase::Price, || std::hint::black_box(()));
-        p.reattribute(RoundPhase::Price, RoundPhase::Select, f64::MAX);
-        p.reattribute(RoundPhase::Select, RoundPhase::Price, -1.0);
-        let r = p.finish_round();
-        assert_eq!(r.price_seconds, 0.0);
-        assert!(r.select_seconds >= 0.0);
     }
 }

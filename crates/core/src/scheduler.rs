@@ -1,6 +1,8 @@
 //! The online Hadar scheduler (Algorithm 1) behind the simulator's
 //! [`Scheduler`] trait.
 
+use std::time::Instant;
+
 use hadar_cluster::{Allocation, JobId, Usage};
 use hadar_sim::{DecisionPhases, JobState, Scheduler, SchedulerContext};
 use hadar_workload::Job;
@@ -9,7 +11,7 @@ use crate::config::{AllocMode, HadarConfig};
 use crate::dp::{dp_allocation_cached, greedy_allocation_cached, Selection};
 use crate::find_alloc::{AllocEnv, CandidateCache};
 use crate::price::{CompetitiveBound, PriceState};
-use crate::profiler::{RoundPhase, RoundProfiler, ThroughputEstimator};
+use crate::profiler::ThroughputEstimator;
 
 /// The Hadar scheduler.
 ///
@@ -33,12 +35,9 @@ pub struct HadarScheduler {
     /// fingerprint: the incremental fast path must never fire between an
     /// event notification and the round that absorbs it.
     dirty: bool,
-    /// Phase breakdown of the most recent decision (for the engine's
-    /// round telemetry).
+    /// Phase timings of the most recent decision (for the engine's round
+    /// telemetry); `None` after a reuse round, which runs no phase.
     last_phases: Option<DecisionPhases>,
-    /// Wall-clock stopwatch over the round phases; also keeps lifetime
-    /// per-phase totals across the scheduler's rounds.
-    round_profiler: RoundProfiler,
 }
 
 impl HadarScheduler {
@@ -53,7 +52,6 @@ impl HadarScheduler {
             cached_all_placed: false,
             dirty: true,
             last_phases: None,
-            round_profiler: RoundProfiler::new(),
         }
     }
 
@@ -66,13 +64,6 @@ impl HadarScheduler {
     /// The active configuration.
     pub fn config(&self) -> &HadarConfig {
         &self.config
-    }
-
-    /// The round-path profiler: lifetime per-phase wall-clock totals over
-    /// every fully optimized round (quiescent reuse rounds are not timed —
-    /// they do no phase work).
-    pub fn round_profiler(&self) -> &RoundProfiler {
-        &self.round_profiler
     }
 }
 
@@ -128,10 +119,7 @@ impl Scheduler for HadarScheduler {
             for s in ctx.jobs {
                 alloc.set(s.job.id, s.placement.clone());
             }
-            self.last_phases = Some(DecisionPhases {
-                reused: true,
-                ..DecisionPhases::default()
-            });
+            self.last_phases = None;
             ctx.telemetry.incr("hadar.incremental_reuse", 1.0);
             return alloc;
         }
@@ -154,9 +142,9 @@ impl Scheduler for HadarScheduler {
         });
         let states: &[JobState] = profiled_states.as_deref().unwrap_or(ctx.jobs);
 
-        let prices = self.round_profiler.time(RoundPhase::Price, || {
-            PriceState::compute(states, ctx.cluster, &self.config.utility, ctx.time)
-        });
+        let t0 = Instant::now();
+        let prices = PriceState::compute(states, ctx.cluster, &self.config.utility, ctx.time);
+        let price_seconds = t0.elapsed().as_secs_f64();
         self.last_bound = Some(prices.bound());
         if ctx.telemetry.is_enabled() {
             let bound = prices.bound();
@@ -195,29 +183,19 @@ impl Scheduler for HadarScheduler {
         // One memo per round: prices and (profiled) job states change
         // between rounds, so nothing in it could be reused.
         let mut cache = CandidateCache::new();
-        let selection = self.round_profiler.time(RoundPhase::Select, || {
-            run_subroutine(self.config.alloc_mode, &queue, &env, &usage, &mut cache)
-        });
-        // The cache timed candidate generation internally while the
-        // subroutine ran; carve it out of the selection phase.
-        let candidates_seconds = cache.gen_seconds();
-        self.round_profiler.reattribute(
-            RoundPhase::Select,
-            RoundPhase::Candidates,
-            candidates_seconds,
-        );
-        let timings = self.round_profiler.finish_round();
+        let t0 = Instant::now();
+        let selection = run_subroutine(self.config.alloc_mode, &queue, &env, &usage, &mut cache);
+        let subroutine_seconds = t0.elapsed().as_secs_f64();
         if selection.budget_exhausted {
             ctx.telemetry.incr("hadar.dp_budget_hits", 1.0);
         }
-        ctx.telemetry
-            .gauge("hadar.candidate_gen_s", candidates_seconds);
+        // The cache timed candidate generation inside the subroutine; carve
+        // it out of the selection phase.
+        let candidates_seconds = cache.gen_seconds().min(subroutine_seconds);
         self.last_phases = Some(DecisionPhases {
-            price_seconds: timings.price_seconds,
-            candidates_seconds: timings.candidates_seconds,
-            select_seconds: timings.select_seconds,
-            dp_budget_hit: selection.budget_exhausted,
-            reused: false,
+            price_seconds,
+            candidates_seconds,
+            select_seconds: subroutine_seconds - candidates_seconds,
         });
 
         let mut alloc = Allocation::empty();
@@ -255,7 +233,7 @@ mod tests {
     use crate::profiler::ProfilerConfig;
     use crate::utility::{MinMakespan, UtilityKind};
     use hadar_cluster::Cluster;
-    use hadar_sim::{PreemptionPenalty, SimConfig, Simulation};
+    use hadar_sim::{PreemptionPenalty, SimConfig, Simulation, Telemetry};
     use hadar_workload::{generate_trace, ArrivalPattern, DlTask, Job, TraceConfig};
 
     fn trace(n: usize, seed: u64) -> (Cluster, Vec<Job>) {
@@ -271,11 +249,20 @@ mod tests {
         (cluster, jobs)
     }
 
+    /// The summed policy counter `key` of a telemetry run (0 when never
+    /// emitted).
+    fn counter(out: &hadar_sim::SimOutcome, key: &str) -> f64 {
+        out.telemetry.policy.get(key).copied().unwrap_or(0.0)
+    }
+
     #[test]
     fn completes_small_static_trace() {
         let (cluster, jobs) = trace(12, 1);
         let out = Simulation::new(cluster, jobs, SimConfig::default())
-            .run(HadarScheduler::new(HadarConfig::default()))
+            .run_with_telemetry(
+                HadarScheduler::new(HadarConfig::default()),
+                Telemetry::enabled(),
+            )
             .unwrap();
         assert_eq!(out.completed_jobs(), 12);
         assert!(!out.timed_out);
@@ -283,11 +270,22 @@ mod tests {
         // The run is deterministic: exactly one round (the first with a
         // queue at the Auto DP threshold of 9 jobs) pushes the DP past its
         // 20k-node budget onto the greedy floor.
-        assert_eq!(out.dp_budget_exhausted_rounds(), 1);
-        // Every round must carry a phase report from the Hadar scheduler,
-        // and the quiescent middle of the run must hit the fast path.
-        assert!(out.rounds.iter().all(|r| r.phases.is_some()));
-        assert!(out.reused_rounds() > 0);
+        assert_eq!(counter(&out, "hadar.dp_budget_hits"), 1.0);
+        // The quiescent middle of the run must hit the fast path, and every
+        // other round must report its phase timings.
+        assert!(counter(&out, "hadar.incremental_reuse") > 0.0);
+        let stream = out.telemetry_stream().unwrap();
+        let rounds: Vec<&str> = stream
+            .lines()
+            .filter(|l| l.contains("\"type\":\"round\""))
+            .collect();
+        assert_eq!(rounds.len(), out.rounds.len());
+        for line in rounds {
+            assert!(
+                line.contains("\"phases\":") != line.contains("\"hadar.incremental_reuse\":"),
+                "round must carry exactly one of phases or a reuse count: {line}"
+            );
+        }
     }
 
     #[test]
@@ -301,11 +299,11 @@ mod tests {
             ..HadarConfig::default()
         };
         let out = Simulation::new(cluster, jobs, SimConfig::default())
-            .run(HadarScheduler::new(cfg))
+            .run_with_telemetry(HadarScheduler::new(cfg), Telemetry::enabled())
             .unwrap();
         assert_eq!(out.completed_jobs(), 24);
         assert!(
-            out.dp_budget_exhausted_rounds() > 0,
+            counter(&out, "hadar.dp_budget_hits") > 0.0,
             "24-job DP rounds should hit DP_NODE_BUDGET"
         );
     }
@@ -350,21 +348,6 @@ mod tests {
         let bound = sched.last_competitive_bound().expect("ran at least once");
         assert!(bound.alpha >= 1.0);
         assert!((bound.ratio - 2.0 * bound.alpha).abs() < 1e-12);
-        // The round profiler saw every fully optimized round and its phase
-        // totals agree with the per-round records the engine collected.
-        let profiled = sched.round_profiler().rounds();
-        let optimized = out
-            .rounds
-            .iter()
-            .filter(|r| r.phases.is_some_and(|p| !p.reused))
-            .count();
-        assert_eq!(profiled, optimized);
-        let (p, c, s) = out.phase_totals();
-        let t = sched.round_profiler().totals();
-        assert!((t.price_seconds - p).abs() < 1e-9);
-        assert!((t.candidates_seconds - c).abs() < 1e-9);
-        assert!((t.select_seconds - s).abs() < 1e-9);
-        assert!(t.total_seconds() > 0.0);
     }
 
     #[test]

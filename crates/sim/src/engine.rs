@@ -284,8 +284,6 @@ impl Simulation {
             let t0 = Instant::now();
             let allocation = scheduler.schedule(&ctx);
             let decision_seconds = t0.elapsed().as_secs_f64();
-            let phases = scheduler.last_decision_phases();
-            let bk0 = Instant::now();
 
             // Validate: capacity, gang sizes, and that only queued jobs are
             // scheduled. A violation is a policy bug — fail the run.
@@ -479,8 +477,6 @@ impl Simulation {
                 reallocations,
                 running_jobs,
                 demand_gpus,
-                phases,
-                bookkeeping_seconds: bk0.elapsed().as_secs_f64(),
             });
             if telemetry.is_enabled() {
                 let util_by_type: Vec<(String, u32)> = type_names
@@ -504,7 +500,7 @@ impl Simulation {
                     held_gpu_seconds,
                     machines_down: availability.num_down() as u32,
                     decision_seconds,
-                    phases,
+                    phases: scheduler.last_decision_phases(),
                     util_by_type: &util_by_type,
                 });
             }
@@ -1013,20 +1009,21 @@ mod tests {
     }
 
     #[test]
-    fn rounds_report_bookkeeping_and_no_phases_for_plain_policies() {
-        // FifoV100 does not override last_decision_phases: every round must
-        // carry None phases and a finite bookkeeping time.
+    fn plain_policies_report_no_phases() {
+        // FifoV100 does not override last_decision_phases: no round record
+        // in its telemetry stream may carry a phases object.
         let jobs = vec![small_job(0, 0.0, 2, 100)];
         let out = Simulation::new(cluster(), jobs, no_penalty_config())
-            .run(FifoV100)
+            .run_with_telemetry(FifoV100, Telemetry::enabled())
             .unwrap();
         assert!(!out.rounds.is_empty());
-        for r in &out.rounds {
-            assert!(r.phases.is_none());
-            assert!(r.bookkeeping_seconds >= 0.0);
-        }
-        assert_eq!(out.dp_budget_exhausted_rounds(), 0);
-        assert_eq!(out.reused_rounds(), 0);
+        let stream = out.telemetry_stream().unwrap();
+        assert_eq!(
+            stream.matches("\"type\":\"round\"").count(),
+            out.rounds.len()
+        );
+        assert!(!stream.contains("\"phases\""), "{stream}");
+        assert!(out.telemetry.policy.is_empty());
     }
 
     #[test]

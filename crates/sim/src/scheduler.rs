@@ -103,7 +103,8 @@ impl SchedulerContext<'_> {
 
 /// Per-phase wall-clock breakdown of one scheduling decision, reported by
 /// schedulers that instrument their round path (Hadar does). All durations
-/// are in seconds; phases not applicable to a policy stay 0.
+/// are in seconds; phases not applicable to a policy stay 0. Timings only:
+/// deterministic facts about a round travel as telemetry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DecisionPhases {
     /// Time spent recomputing marginal prices (Eq. 5).
@@ -114,12 +115,6 @@ pub struct DecisionPhases {
     /// Time spent in subset selection (DP or greedy admission) *excluding*
     /// candidate generation.
     pub select_seconds: f64,
-    /// Whether the DP dual subroutine hit its node budget and fell back to
-    /// (or was beaten by) the greedy floor this round.
-    pub dp_budget_hit: bool,
-    /// Whether the round reused the previous decision outright (the §IV-A-5
-    /// incremental fast path) instead of re-optimizing.
-    pub reused: bool,
 }
 
 /// A round-based cluster scheduler.
@@ -146,8 +141,8 @@ pub trait Scheduler {
 
     /// Per-phase timing of the most recent [`Scheduler::schedule`] call, if
     /// the policy instruments its round path (`None` otherwise — the
-    /// default). The engine polls this right after each decision and attaches
-    /// it to the round record.
+    /// default). The engine polls this right after each decision and writes
+    /// it into the round's telemetry record.
     fn last_decision_phases(&self) -> Option<DecisionPhases> {
         None
     }

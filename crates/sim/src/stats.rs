@@ -3,7 +3,6 @@
 use hadar_cluster::{Cluster, JobId};
 
 use crate::event::SimEvent;
-use crate::scheduler::DecisionPhases;
 use crate::telemetry::TelemetrySummary;
 use hadar_metrics::stats::{cdf_points, SummaryStats};
 use hadar_metrics::{finish_time_fairness, isolated_finish_time};
@@ -58,13 +57,6 @@ pub struct RoundRecord {
     /// Total GPU demand at the round start: Σ `W_j` over admitted,
     /// unfinished jobs (capped at nothing — may exceed the cluster size).
     pub demand_gpus: u32,
-    /// Per-phase breakdown of the decision, when the scheduler reports one
-    /// (see [`crate::Scheduler::last_decision_phases`]).
-    pub phases: Option<DecisionPhases>,
-    /// Wall-clock seconds the engine spent on round bookkeeping *outside*
-    /// the scheduler call: allocation validation, penalty charging, progress
-    /// advancement, and event recording.
-    pub bookkeeping_seconds: f64,
 }
 
 /// Complete result of one simulation run.
@@ -281,43 +273,6 @@ impl SimOutcome {
         self.rounds.iter().map(|r| r.decision_seconds).sum::<f64>() / self.rounds.len() as f64
     }
 
-    /// Number of rounds whose DP dual subroutine hit its node budget (and
-    /// therefore fell back to — or was beaten by — the greedy floor). Only
-    /// counted for schedulers that report [`DecisionPhases`]; 0 otherwise.
-    pub fn dp_budget_exhausted_rounds(&self) -> usize {
-        self.rounds
-            .iter()
-            .filter(|r| r.phases.is_some_and(|p| p.dp_budget_hit))
-            .count()
-    }
-
-    /// Number of rounds that reused the previous decision outright via the
-    /// incremental fast path (per reported [`DecisionPhases`]).
-    pub fn reused_rounds(&self) -> usize {
-        self.rounds
-            .iter()
-            .filter(|r| r.phases.is_some_and(|p| p.reused))
-            .count()
-    }
-
-    /// Summed per-phase decision timings across all rounds that reported
-    /// them: `(price, candidate generation, selection)` in seconds.
-    pub fn phase_totals(&self) -> (f64, f64, f64) {
-        let mut t = (0.0, 0.0, 0.0);
-        for p in self.rounds.iter().filter_map(|r| r.phases) {
-            t.0 += p.price_seconds;
-            t.1 += p.candidates_seconds;
-            t.2 += p.select_seconds;
-        }
-        t
-    }
-
-    /// Total wall-clock seconds of engine bookkeeping (validation, penalty
-    /// charging, progress advancement) across all rounds.
-    pub fn total_bookkeeping_seconds(&self) -> f64 {
-        self.rounds.iter().map(|r| r.bookkeeping_seconds).sum()
-    }
-
     /// Total wall-clock seconds of scheduler decisions across all rounds.
     pub fn total_decision_seconds(&self) -> f64 {
         self.rounds.iter().map(|r| r.decision_seconds).sum()
@@ -426,8 +381,6 @@ mod tests {
                     reallocations: 1,
                     running_jobs: 2,
                     demand_gpus: 45,
-                    phases: None,
-                    bookkeeping_seconds: 0.0,
                 },
                 RoundRecord {
                     time: 360.0,
@@ -437,8 +390,6 @@ mod tests {
                     reallocations: 0,
                     running_jobs: 1,
                     demand_gpus: 20,
-                    phases: None,
-                    bookkeeping_seconds: 0.0,
                 },
             ],
             360.0,
@@ -562,8 +513,6 @@ mod tests {
                     reallocations: 0,
                     running_jobs: 0,
                     demand_gpus: 0,
-                    phases: None,
-                    bookkeeping_seconds: 0.0,
                 },
                 RoundRecord {
                     time: 360.0,
@@ -573,8 +522,6 @@ mod tests {
                     reallocations: 0,
                     running_jobs: 0,
                     demand_gpus: 0,
-                    phases: None,
-                    bookkeeping_seconds: 0.0,
                 },
             ],
             360.0,

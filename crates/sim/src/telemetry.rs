@@ -5,9 +5,11 @@
 //! engine records one structured record per scheduling round — queue depth,
 //! scheduling/preemption/eviction counts, allocation churn, the GPU-type
 //! utilization split, failure-model state — and policies fold in their own
-//! counters (Hadar price-vector stats and phase timings, Gavel LP solve and
-//! warm-start counts, Tiresias queue depths, …) through [`Telemetry::incr`]
-//! and [`Telemetry::gauge`].
+//! counters and gauges (Hadar price-vector stats and reuse counts, Gavel LP
+//! solve and warm-start counts, Tiresias queue depths, …) through
+//! [`Telemetry::incr`] and [`Telemetry::gauge`]. A round's only wall-clock
+//! fields are its decision time and the policy's [`DecisionPhases`]; every
+//! other field is deterministic.
 //!
 //! Output is twofold:
 //!
@@ -49,8 +51,9 @@ pub struct TelemetrySummary {
     pub jobs_completed: u64,
     /// Largest number of admitted, unfinished jobs seen at any round start.
     pub max_queue_depth: u32,
-    /// Lifetime sums of every policy-emitted counter/gauge, keyed by the
-    /// name the policy used (e.g. `gavel.lp_solves`).
+    /// Every policy-emitted key, by the name the policy used (e.g.
+    /// `gavel.lp_solves`): a counter ([`Telemetry::incr`]) sums over the
+    /// run, a gauge ([`Telemetry::gauge`]) keeps the last value written.
     pub policy: BTreeMap<String, f64>,
 }
 
@@ -94,10 +97,18 @@ pub struct RoundSnapshot<'a> {
     pub util_by_type: &'a [(String, u32)],
 }
 
+/// How a policy key folds into [`TelemetrySummary::policy`].
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Counter,
+    Gauge,
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    /// Policy counters for the current round, drained by `record_round`.
-    round: BTreeMap<String, f64>,
+    /// Policy counters and gauges for the current round, drained by
+    /// `record_round`.
+    round: BTreeMap<String, (Kind, f64)>,
     /// The JSONL stream, one record per entry.
     lines: Vec<String>,
     summary: TelemetrySummary,
@@ -133,27 +144,31 @@ impl Telemetry {
     }
 
     /// Add `delta` to this round's counter `key` (created at 0). No-op when
-    /// disabled. Counters drain into the round's JSONL record and accumulate
+    /// disabled. Counters drain into the round's JSONL record and are summed
     /// into [`TelemetrySummary::policy`].
     pub fn incr(&self, key: &str, delta: f64) {
         if !self.enabled {
             return;
         }
-        *self
-            .inner
+        self.inner
             .borrow_mut()
             .round
             .entry(key.to_owned())
-            .or_insert(0.0) += delta;
+            .or_insert((Kind::Counter, 0.0))
+            .1 += delta;
     }
 
     /// Set this round's gauge `key` to `value` (last write wins). No-op when
-    /// disabled.
+    /// disabled. Gauges drain into the round's JSONL record, and
+    /// [`TelemetrySummary::policy`] keeps the last value of the run.
     pub fn gauge(&self, key: &str, value: f64) {
         if !self.enabled {
             return;
         }
-        self.inner.borrow_mut().round.insert(key.to_owned(), value);
+        self.inner
+            .borrow_mut()
+            .round
+            .insert(key.to_owned(), (Kind::Gauge, value));
     }
 
     /// Write the stream's `meta` header. Called once by the engine before
@@ -188,8 +203,12 @@ impl Telemetry {
         }
         let mut inner = self.inner.borrow_mut();
         let round_counters = std::mem::take(&mut inner.round);
-        for (k, v) in &round_counters {
-            *inner.summary.policy.entry(k.clone()).or_insert(0.0) += v;
+        for (k, &(kind, v)) in &round_counters {
+            let total = inner.summary.policy.entry(k.clone()).or_insert(0.0);
+            match kind {
+                Kind::Counter => *total += v,
+                Kind::Gauge => *total = v,
+            }
         }
         let s = &mut inner.summary;
         s.rounds += 1;
@@ -230,18 +249,15 @@ impl Telemetry {
         line.push('}');
         if let Some(p) = snap.phases {
             line.push_str(&format!(
-                ",\"phases\":{{\"price_s\":{},\"candidates_s\":{},\"select_s\":{},\
-                 \"dp_budget_hit\":{},\"reused\":{}}}",
+                ",\"phases\":{{\"price_s\":{},\"candidates_s\":{},\"select_s\":{}}}",
                 json_number(p.price_seconds),
                 json_number(p.candidates_seconds),
                 json_number(p.select_seconds),
-                p.dp_budget_hit,
-                p.reused,
             ));
         }
         if !round_counters.is_empty() {
             line.push_str(",\"policy\":{");
-            for (i, (k, v)) in round_counters.iter().enumerate() {
+            for (i, (k, (_, v))) in round_counters.iter().enumerate() {
                 if i > 0 {
                     line.push(',');
                 }
@@ -432,13 +448,46 @@ mod tests {
             price_seconds: 0.001,
             candidates_seconds: 0.002,
             select_seconds: 0.003,
-            dp_budget_hit: true,
-            reused: false,
         });
         t.record_round(&snap);
         let stream = t.into_stream().unwrap();
-        assert!(stream.contains("\"dp_budget_hit\":true"), "{stream}");
-        assert!(stream.contains("\"price_s\":0.001"), "{stream}");
+        assert!(
+            stream.contains(
+                "\"phases\":{\"price_s\":0.001,\"candidates_s\":0.002,\"select_s\":0.003}"
+            ),
+            "{stream}"
+        );
+    }
+
+    #[test]
+    fn gauges_keep_last_value_and_counters_sum() {
+        let t = Telemetry::enabled();
+        t.begin_run("Test", 4, 1, 1, 360.0);
+        for (count, level) in [(2.0, 7.0), (3.0, 5.0), (4.0, 6.0)] {
+            t.gauge("b.level", level);
+            t.incr("a.count", count);
+            t.record_round(&snapshot(&[]));
+        }
+        // A round that writes neither key leaves the gauge at its last value.
+        t.record_round(&snapshot(&[]));
+        t.finish_run();
+        let summary = t.summary();
+        assert_eq!(summary.policy["a.count"], 9.0);
+        assert_eq!(summary.policy["b.level"], 6.0);
+        let stream = t.into_stream().unwrap();
+        let lines: Vec<&str> = stream.lines().collect();
+        // Each round record carries one key-sorted policy object with that
+        // round's values.
+        assert!(
+            lines[2].ends_with(",\"policy\":{\"a.count\":3,\"b.level\":5}}"),
+            "{}",
+            lines[2]
+        );
+        assert!(
+            lines[5].ends_with(",\"policy\":{\"a.count\":9,\"b.level\":6}}"),
+            "{}",
+            lines[5]
+        );
     }
 
     #[test]
